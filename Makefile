@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check ci bench bench-quick bench-check bench-fleet bench-campaign fleet-smoke campaign storm fuzz-short frontier coverage-floor serve-smoke
+.PHONY: all build vet fmt-check test race check ci bench bench-quick bench-check bench-fleet bench-campaign fleet-smoke campaign storm fuzz-short frontier coverage-floor serve-smoke
 
 all: check
 
@@ -9,6 +9,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails, listing the offenders, when any Go file under cmd,
+# internal or examples is not gofmt-formatted.
+fmt-check:
+	@out=$$(gofmt -l cmd internal examples); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -45,6 +51,7 @@ fuzz-short:
 	$(GO) test ./internal/ecc -run '^$$' -fuzz FuzzEncodeRoundTrip -fuzztime 3s
 	$(GO) test ./internal/ecc -run '^$$' -fuzz FuzzScramble -fuzztime 3s
 	$(GO) test ./internal/sampletool -run '^$$' -fuzz FuzzSampleDecisions -fuzztime 3s
+	$(GO) test ./internal/machine -run '^$$' -fuzz FuzzMachineReset -fuzztime 3s
 
 # coverage-floor holds the safety-critical packages to statement-coverage
 # thresholds: the sampling tool (a bookkeeping slip means phantom reports
@@ -71,14 +78,14 @@ serve-smoke:
 check: build vet test race fuzz-short campaign storm bench-check
 
 # ci is the continuous-integration gate (.github/workflows/ci.yml): the
-# full build + vet + test sweep, a shuffled re-run of the order-sensitive
+# full build + vet + gofmt + test sweep, a shuffled re-run of the order-sensitive
 # new packages, the coverage floors, a race-detector pass over the
 # concurrent serving/observability/telemetry layers plus the sample-tool
 # campaign and the snapshot-on campaign equivalence leg (cheap enough for
 # every push, unlike `make race`), the serving-stack chaos smoke, a
 # one-shard fleet-bench + bench_compare.sh smoke, and the
 # throughput/campaign regression gates.
-ci: build vet test
+ci: build vet fmt-check test
 	$(GO) test -shuffle=on -count=1 ./internal/sampletool ./internal/campaign ./internal/bench/frontier
 	$(MAKE) coverage-floor
 	$(GO) test -race ./internal/obsrv/... ./internal/telemetry/... ./internal/fleet

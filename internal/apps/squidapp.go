@@ -184,7 +184,7 @@ func (s *squidState) initCache() {
 	s.aclTable = mustMalloc(s.e, sqACLTableBytes)
 	s.e.Root(s.aclTable)
 	fillWords(m, s.aclTable, sqACLTableBytes/8, func(i uint64) uint64 {
-		return i * 8 | 1
+		return i*8 | 1
 	})
 
 	// squid2 runs with a prewarmed, near-static cache.

@@ -106,6 +106,12 @@ type Cache struct {
 	// allocation-free: the backing array is preallocated and never grows.
 	filled    []int32
 	fillSpill bool
+	// zeroBase records that the cache was all-zero when the fill log was
+	// last reset (creation, Recycle, capture or restore of a pristine
+	// image). Together with !fillSpill it means the log names every
+	// non-zero way, so zeroing the cache costs O(fills) instead of
+	// O(Sets×Ways). Capturing or restoring a non-pristine image clears it.
+	zeroBase bool
 }
 
 // New builds a cache over ctrl with the given configuration.
@@ -117,14 +123,15 @@ func New(ctrl *memctrl.Controller, clock *simtime.Clock, cfg Config) (*Cache, er
 		return nil, fmt.Errorf("cache: ways %d must be positive", cfg.Ways)
 	}
 	return &Cache{
-		ctrl:    ctrl,
-		clock:   clock,
-		cfg:     cfg,
-		ways:    make([]way, cfg.Sets*cfg.Ways),
-		tags:    make([]uint64, cfg.Sets*cfg.Ways),
-		setMask: uint64(cfg.Sets - 1),
-		gen:     1,
-		filled:  make([]int32, 0, cfg.Sets*cfg.Ways),
+		ctrl:     ctrl,
+		clock:    clock,
+		cfg:      cfg,
+		ways:     make([]way, cfg.Sets*cfg.Ways),
+		tags:     make([]uint64, cfg.Sets*cfg.Ways),
+		setMask:  uint64(cfg.Sets - 1),
+		gen:      1,
+		filled:   make([]int32, 0, cfg.Sets*cfg.Ways),
+		zeroBase: true,
 	}, nil
 }
 
@@ -144,18 +151,33 @@ func (c *Cache) Stats() Stats { return c.stats }
 // reallocating the way arrays. The ways are fully zeroed rather than
 // generation-invalidated: victim selection consults way 0's LRU stamp even
 // when invalid, so a stale stamp could change eviction order relative to a
-// fresh cache. Part of the pooled machine reset path.
+// fresh cache. Part of the pooled machine reset path; it costs O(fills
+// since the cache was last all-zero) unless the fill log cannot vouch for
+// every way (see zeroWays).
 func (c *Cache) Recycle() {
-	for i := range c.ways {
-		c.ways[i] = way{}
-	}
-	clear(c.tags)
+	c.zeroWays()
 	c.gen = 1
 	c.epoch++
 	c.tick = 0
 	c.stats = Stats{}
+}
+
+// zeroWays zeroes every way and tag and resets the fill log. When the log
+// names every non-zero way (zeroBase, no spill) only the logged ways are
+// touched; otherwise the whole array is cleared.
+func (c *Cache) zeroWays() {
+	if c.zeroBase && !c.fillSpill {
+		for _, gi := range c.filled {
+			c.ways[gi] = way{}
+			c.tags[gi] = 0
+		}
+	} else {
+		clear(c.ways)
+		clear(c.tags)
+	}
 	c.filled = c.filled[:0]
 	c.fillSpill = false
+	c.zeroBase = true
 }
 
 // ResetStats zeroes the counters and, when a sampling registry is attached,
@@ -434,7 +456,12 @@ func (c *Cache) FlushLine(line physmem.Addr) {
 	if !line.IsLineAligned() {
 		panic(fmt.Sprintf("cache: FlushLine at unaligned address %#x", uint64(line)))
 	}
-	sp := c.tr.Begin("cache", "flush-line", telemetry.KV("line", uint64(line)))
+	// Built only when recording: the variadic args would escape and
+	// allocate on every flush of a tracer that records nothing.
+	var sp telemetry.Span
+	if c.tr.Enabled() {
+		sp = c.tr.Begin("cache", "flush-line", telemetry.KV("line", uint64(line)))
+	}
 	defer sp.End()
 	c.stats.Flushes++
 	c.clock.Advance(simtime.CostLineFlush)
@@ -535,14 +562,19 @@ type Image struct {
 }
 
 // CaptureImage checkpoints the cache and resets the fill log, so a later
-// RestoreImage knows which ways diverged.
+// RestoreImage knows which ways diverged. While the fill log names every
+// non-zero way, an empty log proves the cache pristine without a scan.
 func (c *Cache) CaptureImage() *Image {
 	img := &Image{c: c, gen: c.gen, tick: c.tick, stats: c.stats, pristine: true}
-	empty := way{}
-	for i := range c.ways {
-		if c.ways[i] != empty || c.tags[i] != 0 {
-			img.pristine = false
-			break
+	if c.zeroBase && !c.fillSpill {
+		img.pristine = len(c.filled) == 0
+	} else {
+		empty := way{}
+		for i := range c.ways {
+			if c.ways[i] != empty || c.tags[i] != 0 {
+				img.pristine = false
+				break
+			}
 		}
 	}
 	if !img.pristine {
@@ -551,38 +583,31 @@ func (c *Cache) CaptureImage() *Image {
 	}
 	c.filled = c.filled[:0]
 	c.fillSpill = false
+	c.zeroBase = img.pristine
 	return img
 }
 
 // RestoreImage puts the cache back into the captured state and counts one
 // residency mutation (epoch bump), like any other invalidation. For a
-// pristine image with an intact fill log only the ways filled since capture
-// are re-zeroed; otherwise every way is rewritten from the image (or zeroed,
-// for a pristine image after log overflow) — slower, never wrong.
+// pristine image whose fill log names every non-zero way only the logged
+// ways are re-zeroed; otherwise every way is rewritten from the image (or
+// zeroed, for a pristine image after log overflow or after a non-pristine
+// capture or restore) — slower, never wrong.
 func (c *Cache) RestoreImage(img *Image) {
 	if img.c != c {
 		panic("cache: RestoreImage with an image captured from a different cache")
 	}
-	switch {
-	case img.pristine && !c.fillSpill:
-		empty := way{}
-		for _, gi := range c.filled {
-			c.ways[gi] = empty
-			c.tags[gi] = 0
-		}
-	case img.pristine:
-		for i := range c.ways {
-			c.ways[i] = way{}
-		}
-		clear(c.tags)
-	default:
+	if img.pristine {
+		c.zeroWays()
+	} else {
 		copy(c.ways, img.ways)
 		copy(c.tags, img.tags)
+		c.filled = c.filled[:0]
+		c.fillSpill = false
+		c.zeroBase = false
 	}
 	c.gen = img.gen
 	c.tick = img.tick
 	c.stats = img.stats
 	c.epoch++
-	c.filled = c.filled[:0]
-	c.fillSpill = false
 }

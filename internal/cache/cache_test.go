@@ -8,6 +8,7 @@ import (
 	"safemem/internal/memctrl"
 	"safemem/internal/physmem"
 	"safemem/internal/simtime"
+	"safemem/internal/telemetry"
 )
 
 func newRig(memSize uint64, cfg Config) (*Cache, *memctrl.Controller, *simtime.Clock) {
@@ -303,4 +304,78 @@ func TestLineRefBulkAccessors(t *testing.T) {
 	if got := r.Load(16, 8); got != want {
 		t.Fatalf("masked StoreBytesLE word = %#x, want %#x", got, want)
 	}
+}
+
+// TestFlushLineNoAllocsWhenNotTracing pins that FlushLine builds its trace
+// arguments only while the tracer records: WatchMemory flushes every line
+// it arms, so a per-flush allocation would tax every untraced run.
+func TestFlushLineNoAllocsWhenNotTracing(t *testing.T) {
+	c, _, clock := newRig(1<<16, DefaultConfig)
+	reg := telemetry.NewRegistry("", telemetry.Config{})
+	reg.AttachClock(clock)
+	c.RegisterTelemetry(reg)
+	c.StoreWord(0, 1)
+	if avg := testing.AllocsPerRun(100, func() {
+		c.StoreWord(0, 2)
+		c.FlushLine(0)
+	}); avg != 0 {
+		t.Fatalf("FlushLine on a disabled tracer allocates %.1f objects, want 0", avg)
+	}
+}
+
+// requireZeroed fails unless every way and tag is back to its New state.
+func requireZeroed(t *testing.T, c *Cache, when string) {
+	t.Helper()
+	for i := range c.ways {
+		if c.ways[i] != (way{}) || c.tags[i] != 0 {
+			t.Fatalf("%s: way %d not zeroed: %+v tag %#x", when, i, c.ways[i], c.tags[i])
+		}
+	}
+}
+
+// TestRecycleZeroesEveryWay drives Recycle through its fill-log fast path
+// and each fallback — a spilled log, and a capture or restore of a
+// non-pristine image since the cache was last all-zero — and checks that
+// every way ends up zeroed each time.
+func TestRecycleZeroesEveryWay(t *testing.T) {
+	cfg := Config{Sets: 4, Ways: 2}
+	c, _, _ := newRig(1<<16, cfg)
+	fill := func(lines int) {
+		for i := 0; i < lines; i++ {
+			c.StoreWord(physmem.Addr(i*physmem.LineBytes), uint64(i)+1)
+		}
+	}
+
+	fill(3)
+	c.Recycle()
+	requireZeroed(t, c, "fill log")
+
+	fill(4 * 2 * 3) // three times the ways: the log spills
+	if !c.fillSpill {
+		t.Fatal("fill log did not spill")
+	}
+	c.Recycle()
+	requireZeroed(t, c, "spilled log")
+
+	fill(3)
+	_ = c.CaptureImage() // non-pristine: the log restarts over live ways
+	fill(1)
+	c.Recycle()
+	requireZeroed(t, c, "after non-pristine capture")
+
+	fill(2)
+	img := c.CaptureImage()
+	c.Recycle()
+	c.RestoreImage(img) // non-pristine restore
+	c.Recycle()
+	requireZeroed(t, c, "after non-pristine restore")
+
+	// A pristine image restored after a non-pristine capture must not trust
+	// the log either.
+	pristine := c.CaptureImage()
+	fill(2)
+	_ = c.CaptureImage()
+	fill(1)
+	c.RestoreImage(pristine)
+	requireZeroed(t, c, "pristine restore after non-pristine capture")
 }

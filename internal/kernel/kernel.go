@@ -310,8 +310,11 @@ func checkLineRegion(va vm.VAddr, size uint64) error {
 // from the cache, lock the memory bus, disable ECC, write the scrambled
 // data (leaving the stale check bits), re-enable ECC, unlock.
 func (k *Kernel) WatchMemory(va vm.VAddr, size uint64) ([]uint64, error) {
-	sp := k.tr.Begin("kernel", "WatchMemory",
-		telemetry.KV("va", uint64(va)), telemetry.KV("bytes", size))
+	var sp telemetry.Span
+	if k.tr.Enabled() {
+		sp = k.tr.Begin("kernel", "WatchMemory",
+			telemetry.KV("va", uint64(va)), telemetry.KV("bytes", size))
+	}
 	defer sp.End()
 	k.clock.Advance(simtime.CostSyscall)
 	k.stats.WatchCalls++
@@ -412,8 +415,11 @@ func (k *Kernel) WatchMemory(va vm.VAddr, size uint64) ([]uint64, error) {
 // through the ECC-enabled path so the check bits become consistent again,
 // and unpins the pages.
 func (k *Kernel) DisableWatchMemory(va vm.VAddr, size uint64) error {
-	sp := k.tr.Begin("kernel", "DisableWatchMemory",
-		telemetry.KV("va", uint64(va)), telemetry.KV("bytes", size))
+	var sp telemetry.Span
+	if k.tr.Enabled() {
+		sp = k.tr.Begin("kernel", "DisableWatchMemory",
+			telemetry.KV("va", uint64(va)), telemetry.KV("bytes", size))
+	}
 	defer sp.End()
 	k.clock.Advance(simtime.CostSyscall)
 	k.stats.DisableCalls++

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 
 	"safemem/internal/vm"
@@ -61,5 +62,31 @@ func TestAccessPathNoAllocs(t *testing.T) {
 		m.Compute(3)
 	}); avg != 0 {
 		t.Fatalf("access path allocates %.1f objects per round, want 0", avg)
+	}
+}
+
+// BenchmarkMachineRecycle measures the Recycle that resets a pooled
+// machine after a small run — two pages stored and written back — at two
+// DRAM sizes; the run itself is excluded from the timing. The touched
+// footprint is the same at both sizes, so the 512 MiB figure should stay
+// close to the 32 MiB one: reset cost follows what the run touched, not
+// the DRAM size.
+func BenchmarkMachineRecycle(b *testing.B) {
+	for _, mib := range []uint64{32, 512} {
+		b.Run(fmt.Sprintf("%dMiB", mib), func(b *testing.B) {
+			m := MustNew(Config{MemBytes: mib << 20})
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := m.Kern.MapPages(0x10000, 2); err != nil {
+					b.Fatal(err)
+				}
+				for off := vm.VAddr(0); off < 2*vm.PageBytes; off += 8 {
+					m.Store64(0x10000+off, uint64(i))
+				}
+				m.Cache.FlushAll()
+				b.StartTimer()
+				m.Recycle()
+			}
+		})
 	}
 }

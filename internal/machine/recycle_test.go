@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"safemem/internal/kernel"
+	"safemem/internal/memctrl"
+	"safemem/internal/physmem"
 	"safemem/internal/simtime"
 	"safemem/internal/vm"
 )
@@ -12,13 +14,41 @@ import (
 // controller clean bits, VM/TLB, watches, resilience queues, call stack —
 // and returns a digest of all observable simulated state.
 type recycleDigest struct {
-	cycles   simtime.Cycles
-	instrs   uint64
-	mstats   Stats
-	vmstats  vm.Stats
-	kstats   kernel.Stats
-	checksum uint64
-	err      string
+	cycles     simtime.Cycles
+	instrs     uint64
+	mstats     Stats
+	vmstats    vm.Stats
+	kstats     kernel.Stats
+	cstats     memctrl.Stats
+	freeFrames int
+	checksum   uint64
+	dram       uint64
+	err        string
+}
+
+// digestMachine records the machine's observable simulated state: clock,
+// per-component counters, free frames, the CPU-visible contents of the
+// pages at [base, base+pages*PageBytes), and every stored DRAM bit.
+func digestMachine(m *Machine, base vm.VAddr, pages int) recycleDigest {
+	d := recycleDigest{
+		cycles:     m.Clock.Now(),
+		instrs:     m.Instructions(),
+		mstats:     m.Stats(),
+		vmstats:    m.AS.Stats(),
+		kstats:     m.Kern.Stats(),
+		cstats:     m.Ctrl.Stats(),
+		freeFrames: m.AS.FreeFrames(),
+	}
+	for i := vm.VAddr(0); i < vm.VAddr(pages)*vm.PageBytes; i += 8 {
+		if w, ok := m.PeekWord(base + i); ok {
+			d.checksum = d.checksum*31 + w
+		}
+	}
+	for a := physmem.Addr(0); uint64(a) < m.Phys.Size(); a += physmem.GroupBytes {
+		data, check := m.Phys.ReadGroupRaw(a)
+		d.dram = (d.dram*31+data)*31 + uint64(check)
+	}
+	return d
 }
 
 func runRecycleWorkload(t *testing.T, m *Machine) recycleDigest {
@@ -56,20 +86,9 @@ func runRecycleWorkload(t *testing.T, m *Machine) recycleDigest {
 		m.Return()
 		return nil
 	})
-	d := recycleDigest{
-		cycles:  m.Clock.Now(),
-		instrs:  m.Instructions(),
-		mstats:  m.Stats(),
-		vmstats: m.AS.Stats(),
-		kstats:  m.Kern.Stats(),
-	}
+	d := digestMachine(m, 0x20000, 8)
 	if err != nil {
 		d.err = err.Error()
-	}
-	for i := vm.VAddr(0); i < 8*vm.PageBytes; i += 8 {
-		if w, ok := m.PeekWord(0x20000 + i); ok {
-			d.checksum = d.checksum*31 + w
-		}
 	}
 	return d
 }

@@ -14,6 +14,7 @@ package memctrl
 
 import (
 	"fmt"
+	"math/bits"
 
 	"safemem/internal/ecc"
 	"safemem/internal/physmem"
@@ -127,6 +128,10 @@ type Controller struct {
 	// injector, the DRAM fault model, VM swap traffic and direct-ECC pokes —
 	// so a planted fault can never hide behind the fast path.
 	clean []uint64
+	// cleanSum summarises clean one bit per word: markClean sets a word's
+	// summary bit, so every non-zero word of clean has its bit set, and
+	// Recycle clears just those words instead of the whole bitmap.
+	cleanSum []uint64
 	// fastPath gates the bitmap; SetFastPath(false) restores the literal
 	// decode-everything read path (for differential tests).
 	fastPath bool
@@ -146,11 +151,13 @@ type Controller struct {
 // New creates a controller over mem, charging costs to clock. The initial
 // mode is CorrectError, the common server default.
 func New(mem *physmem.Memory, clock *simtime.Clock) *Controller {
+	words := (mem.Lines() + 63) / 64
 	c := &Controller{
 		mem:      mem,
 		clock:    clock,
 		mode:     CorrectError,
-		clean:    make([]uint64, (mem.Lines()+63)/64),
+		clean:    make([]uint64, words),
+		cleanSum: make([]uint64, (words+63)/64),
 		fastPath: true,
 	}
 	mem.SetMutateHook(c.invalidateClean)
@@ -170,8 +177,16 @@ func (c *Controller) Recycle() {
 	c.caps = Capabilities{}
 	c.stats = Stats{}
 	c.busSpan = telemetry.Span{}
-	for i := range c.clean {
-		c.clean[i] = 0
+	for si, s := range c.cleanSum {
+		if s == 0 {
+			continue
+		}
+		for s != 0 {
+			b := uint64(bits.TrailingZeros64(s))
+			s &^= 1 << b
+			c.clean[uint64(si)<<6+b] = 0
+		}
+		c.cleanSum[si] = 0
 	}
 	c.fastPath = true
 	c.fastLineReads = 0
@@ -193,6 +208,7 @@ func (c *Controller) invalidateClean(line physmem.Addr) {
 func (c *Controller) markClean(line physmem.Addr) {
 	idx := lineIndex(line)
 	c.clean[idx/64] |= 1 << (idx % 64)
+	c.cleanSum[idx/4096] |= 1 << (idx / 64 % 64)
 }
 
 // lineClean reports whether the line holds the known-clean bit. Addresses
@@ -409,14 +425,11 @@ func (c *Controller) ReadLine(a physmem.Addr) [physmem.GroupsPerLine]uint64 {
 		panic(fmt.Sprintf("memctrl: ReadLine at unaligned address %#x", uint64(a)))
 	}
 	c.stats.LineReads++
-	var out [physmem.GroupsPerLine]uint64
 	if c.fastPath && c.mode != Disabled && c.lineClean(a) {
 		c.fastLineReads++
-		for i := 0; i < physmem.GroupsPerLine; i++ {
-			out[i], _ = c.mem.ReadGroupRaw(a + physmem.Addr(i*physmem.GroupBytes))
-		}
-		return out
+		return c.mem.ReadLineData(a)
 	}
+	var out [physmem.GroupsPerLine]uint64
 	errsBefore := c.stats.CorrectedSingle + c.stats.Uncorrectable
 	for i := 0; i < physmem.GroupsPerLine; i++ {
 		out[i] = c.readGroup(a+physmem.Addr(i*physmem.GroupBytes), false)
@@ -439,21 +452,20 @@ func (c *Controller) WriteLine(a physmem.Addr, words [physmem.GroupsPerLine]uint
 		panic(fmt.Sprintf("memctrl: WriteLine at unaligned address %#x", uint64(a)))
 	}
 	c.stats.LineWrites++
-	for i := 0; i < physmem.GroupsPerLine; i++ {
-		ga := a + physmem.Addr(i*physmem.GroupBytes)
-		if c.mode == Disabled {
-			c.mem.WriteGroupDataOnly(ga, words[i])
-		} else {
-			c.mem.WriteGroupRaw(ga, words[i], uint8(ecc.Encode(words[i])))
-		}
+	if c.mode == Disabled {
+		c.mem.WriteLineDataOnly(a, words)
+		return
 	}
+	var check [physmem.GroupsPerLine]uint8
+	for i, w := range words {
+		check[i] = uint8(ecc.Encode(w))
+	}
+	c.mem.WriteLineRaw(a, words, check)
 	// With ECC on, every group now carries freshly generated check bits; the
 	// line is clean by construction. (The mutation hook cleared the bit
-	// during the writes above; with ECC disabled — the scramble path — it
+	// during the write above; with ECC disabled — the scramble path — it
 	// stays cleared.)
-	if c.mode != Disabled {
-		c.markClean(a)
-	}
+	c.markClean(a)
 }
 
 // Image is a checkpoint of the controller's simulated state: mode, handler,
@@ -524,9 +536,5 @@ func (c *Controller) PeekLine(a physmem.Addr) [physmem.GroupsPerLine]uint64 {
 	if !a.IsLineAligned() {
 		panic(fmt.Sprintf("memctrl: PeekLine at unaligned address %#x", uint64(a)))
 	}
-	var out [physmem.GroupsPerLine]uint64
-	for i := 0; i < physmem.GroupsPerLine; i++ {
-		out[i], _ = c.mem.ReadGroupRaw(a + physmem.Addr(i*physmem.GroupBytes))
-	}
-	return out
+	return c.mem.ReadLineData(a)
 }

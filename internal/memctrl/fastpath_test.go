@@ -255,3 +255,31 @@ func TestFastPathEquivalence(t *testing.T) {
 		t.Error("scenario never exercised the fast path")
 	}
 }
+
+// TestRecycleDropsCleanBits checks that Recycle clears every known-clean
+// bit through the bitmap's summary, including lines the controller only
+// verified (never wrote) and lines in different summary words, so a
+// recycled controller serves its first read of each line the slow way,
+// exactly like a fresh one.
+func TestRecycleDropsCleanBits(t *testing.T) {
+	const size = 64 << 20 / 8 // 8 MiB: 32 summary words
+	c, _ := newTestController(size)
+	var line [physmem.GroupsPerLine]uint64
+	lines := []physmem.Addr{0, 64 * 64, 64 * 64 * 64 * 3, size - 128}
+	for _, a := range lines {
+		c.WriteLine(a, line)
+		c.ReadLine(a + 64) // verified, never written
+	}
+	c.Recycle()
+	for i, w := range c.clean {
+		if w != 0 {
+			t.Fatalf("clean word %d = %#x after Recycle", i, w)
+		}
+	}
+	for _, a := range lines {
+		c.ReadLine(a)
+	}
+	if n := c.FastLineReads(); n != 0 {
+		t.Fatalf("recycled controller served %d reads from stale clean bits", n)
+	}
+}

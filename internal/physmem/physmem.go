@@ -12,6 +12,7 @@ package physmem
 import (
 	"fmt"
 	"math/bits"
+	"sort"
 
 	"safemem/internal/telemetry"
 )
@@ -49,9 +50,26 @@ type group struct {
 	check uint8
 }
 
+const (
+	// chunkLines is the number of lines in one lazily allocated DRAM chunk:
+	// 4 KiB of simulated memory, exactly the lines one touched-bitmap word
+	// covers.
+	chunkLines = 64
+	// chunkGroups is the number of ECC groups per chunk.
+	chunkGroups = chunkLines * GroupsPerLine
+)
+
+// chunk is 4 KiB of stored DRAM, allocated on its first mutation.
+type chunk [chunkGroups]group
+
 // Memory is the simulated DRAM. The zero value is unusable; create with New.
 type Memory struct {
-	groups []group
+	// chunks holds the stored bits, one entry per 64 lines. A nil chunk has
+	// never been mutated and reads as zero data with zero check bits —
+	// exactly what freshly allocated DRAM holds — so creating a machine
+	// costs nothing per byte of DRAM, and a pooled memory pins only the
+	// chunks its tenants touched. Chunks are never freed once allocated.
+	chunks []*chunk
 	size   uint64
 
 	// onMutate, when set, observes every mutation of stored bits — raw
@@ -63,18 +81,27 @@ type Memory struct {
 	onMutate func(line Addr)
 
 	// touched is a one-bit-per-line bitmap of lines whose stored bits have
-	// ever been mutated. It lets ZeroTouched restore a used memory to its
-	// pristine all-zero state by re-zeroing only the dirtied lines instead
-	// of the whole DRAM — the trick that makes machine pooling cheaper than
-	// allocating a fresh 32 MiB arena per campaign scenario.
+	// been mutated since the memory was last all-zero. It lets ZeroTouched
+	// restore a used memory to its pristine state by re-zeroing only the
+	// dirtied lines instead of the whole DRAM — the trick that makes
+	// machine pooling cheaper than a fresh machine per campaign scenario.
 	touched []uint64
 
 	// dirty is the since-last-capture counterpart of touched: CaptureImage
 	// clears it, every mutation sets it, and RestoreImage walks it to
-	// re-copy only the lines that actually diverged from the image —
-	// O(dirty state) instead of O(memory). Invariant between capture and
-	// restore: touched == image.touched | dirty.
+	// re-copy only the lines that actually diverged from the image.
+	// Invariant between capture and restore: touched == image.touched |
+	// dirty. dirty is always a subset of touched.
 	dirty []uint64
+
+	// touchedSum and dirtySum summarise touched and dirty one bit per
+	// word: a clear summary bit guarantees the word is zero (a set one
+	// only that it may not be). ZeroTouched, CaptureImage and the fast
+	// path of RestoreImage visit just the summarised words, so they cost
+	// O(touched lines + one summary word per 4096 lines) instead of one
+	// bitmap word per 64 lines.
+	touchedSum []uint64
+	dirtySum   []uint64
 
 	// snapGen guards image validity: CaptureImage stamps the image with the
 	// current generation and anything that breaks the dirty-tracking
@@ -89,38 +116,72 @@ type Memory struct {
 func (m *Memory) SetMutateHook(fn func(line Addr)) { m.onMutate = fn }
 
 // noteMutate reports a mutation of the group at index idx to the hook and
-// records the line in the touched bitmap.
+// records the line in the touched and dirty bitmaps and their summaries.
 func (m *Memory) noteMutate(idx uint64) {
 	line := idx / GroupsPerLine
-	m.touched[line>>6] |= 1 << (line & 63)
-	m.dirty[line>>6] |= 1 << (line & 63)
+	wi := line >> 6
+	m.touched[wi] |= 1 << (line & 63)
+	m.dirty[wi] |= 1 << (line & 63)
+	m.touchedSum[wi>>6] |= 1 << (wi & 63)
+	m.dirtySum[wi>>6] |= 1 << (wi & 63)
 	if m.onMutate != nil {
 		m.onMutate(Addr(idx * GroupBytes).LineAddr())
 	}
 }
 
-// ZeroTouched re-zeroes every line that has ever been mutated (data and
-// check bits) and clears the touched bitmap, restoring the memory to its
-// freshly-allocated state. The mutate hook fires once per re-zeroed line,
-// exactly as it would for explicit writes, so a controller's known-clean
-// bitmap cannot go stale. Cost is proportional to the touched footprint,
-// not the DRAM size.
+// mutable records a mutation of the group at index idx and returns it for
+// writing, allocating its chunk on first use.
+func (m *Memory) mutable(idx uint64) *group {
+	c := m.chunks[idx/chunkGroups]
+	if c == nil {
+		c = new(chunk)
+		m.chunks[idx/chunkGroups] = c
+	}
+	m.noteMutate(idx)
+	return &c[idx%chunkGroups]
+}
+
+// lineGroups returns the stored groups of line, or nil when its chunk was
+// never allocated (all zero).
+func (m *Memory) lineGroups(line uint64) []group {
+	c := m.chunks[line/chunkLines]
+	if c == nil {
+		return nil
+	}
+	gi := line % chunkLines * GroupsPerLine
+	return c[gi : gi+GroupsPerLine]
+}
+
+// ZeroTouched re-zeroes every line that has been mutated (data and check
+// bits) and clears the touched bitmap, restoring the memory to its
+// freshly-allocated contents. The mutate hook fires once per re-zeroed
+// line, exactly as it would for explicit writes, so a controller's
+// known-clean bitmap cannot go stale. Cost is proportional to the touched
+// footprint, not the DRAM size; the zeroed chunks stay allocated for the
+// next tenant.
 func (m *Memory) ZeroTouched() {
-	for wi, w := range m.touched {
-		for w != 0 {
-			b := uint64(bits.TrailingZeros64(w))
-			w &^= 1 << b
-			line := uint64(wi)<<6 + b
-			gi := line * GroupsPerLine
-			for g := gi; g < gi+GroupsPerLine; g++ {
-				m.groups[g] = group{}
-			}
-			if m.onMutate != nil {
-				m.onMutate(Addr(line * LineBytes))
-			}
+	for si, s := range m.touchedSum {
+		if s == 0 {
+			continue
 		}
-		m.touched[wi] = 0
-		m.dirty[wi] = 0
+		for s != 0 {
+			b := uint64(bits.TrailingZeros64(s))
+			s &^= 1 << b
+			wi := uint64(si)<<6 + b
+			for w := m.touched[wi]; w != 0; {
+				lb := uint64(bits.TrailingZeros64(w))
+				w &^= 1 << lb
+				line := wi<<6 + lb
+				clear(m.lineGroups(line))
+				if m.onMutate != nil {
+					m.onMutate(Addr(line * LineBytes))
+				}
+			}
+			m.touched[wi] = 0
+			m.dirty[wi] = 0
+		}
+		m.touchedSum[si] = 0
+		m.dirtySum[si] = 0
 	}
 	// Zeroing breaks any image's dirty-tracking invariant (its lines are
 	// gone but its dirty bits were cleared along the way); stale images must
@@ -134,12 +195,14 @@ func New(size uint64) (*Memory, error) {
 	if size == 0 || size%LineBytes != 0 {
 		return nil, fmt.Errorf("physmem: size %d is not a positive multiple of %d", size, LineBytes)
 	}
-	lines := size / LineBytes
+	words := (size/LineBytes + 63) / 64
 	return &Memory{
-		groups:  make([]group, size/GroupBytes),
-		size:    size,
-		touched: make([]uint64, (lines+63)/64),
-		dirty:   make([]uint64, (lines+63)/64),
+		chunks:     make([]*chunk, words),
+		size:       size,
+		touched:    make([]uint64, words),
+		dirty:      make([]uint64, words),
+		touchedSum: make([]uint64, (words+63)/64),
+		dirtySum:   make([]uint64, (words+63)/64),
 	}, nil
 }
 
@@ -181,17 +244,68 @@ func (m *Memory) groupIndex(a Addr) uint64 {
 // ReadGroupRaw returns the stored data word and check bits of the ECC group
 // at a, without any ECC checking.
 func (m *Memory) ReadGroupRaw(a Addr) (data uint64, check uint8) {
-	g := m.groups[m.groupIndex(a)]
+	idx := m.groupIndex(a)
+	c := m.chunks[idx/chunkGroups]
+	if c == nil {
+		return 0, 0
+	}
+	g := c[idx%chunkGroups]
 	return g.data, g.check
+}
+
+// ReadLineData returns the stored data words of the line at a, which must
+// be line-aligned, without check bits or any ECC checking. It looks the
+// line's chunk up once, not once per group — the controller's known-clean
+// read path.
+func (m *Memory) ReadLineData(a Addr) (out [GroupsPerLine]uint64) {
+	if !a.IsLineAligned() {
+		panic(fmt.Sprintf("physmem: address %#x not line aligned", uint64(a)))
+	}
+	if g := m.lineGroups(m.groupIndex(a) / GroupsPerLine); g != nil {
+		for i := range out {
+			out[i] = g[i].data
+		}
+	}
+	return out
 }
 
 // WriteGroupRaw stores both the data word and the check bits of the group at
 // a. This is the full-control path used by the controller and by the fault
 // injector.
 func (m *Memory) WriteGroupRaw(a Addr, data uint64, check uint8) {
+	*m.mutable(m.groupIndex(a)) = group{data: data, check: check}
+}
+
+// mutableLine records a mutation of the line at a, which must be
+// line-aligned, and returns its eight groups for writing, allocating the
+// chunk on first use: one lookup and one mutation record for the line.
+func (m *Memory) mutableLine(a Addr) []group {
+	if !a.IsLineAligned() {
+		panic(fmt.Sprintf("physmem: address %#x not line aligned", uint64(a)))
+	}
 	idx := m.groupIndex(a)
-	m.groups[idx] = group{data: data, check: check}
-	m.noteMutate(idx)
+	m.mutable(idx)
+	return m.lineGroups(idx / GroupsPerLine)
+}
+
+// WriteLineRaw stores the data words and check bits of all eight groups of
+// the line at a (line-aligned) — WriteGroupRaw for a whole line, as the
+// controller writes it back with ECC enabled.
+func (m *Memory) WriteLineRaw(a Addr, data [GroupsPerLine]uint64, check [GroupsPerLine]uint8) {
+	g := m.mutableLine(a)
+	for i := range g {
+		g[i] = group{data: data[i], check: check[i]}
+	}
+}
+
+// WriteLineDataOnly stores the data words of all eight groups of the line
+// at a (line-aligned), leaving their check bits untouched —
+// WriteGroupDataOnly for a whole line, the ECC-disabled scramble write.
+func (m *Memory) WriteLineDataOnly(a Addr, data [GroupsPerLine]uint64) {
+	g := m.mutableLine(a)
+	for i := range g {
+		g[i].data = data[i]
+	}
 }
 
 // WriteGroupDataOnly stores the data word at a while leaving the stored
@@ -199,9 +313,7 @@ func (m *Memory) WriteGroupRaw(a Addr, data uint64, check uint8) {
 // is disabled — the heart of SafeMem's WatchMemory trick (Figure 2): the old
 // check bits now mismatch the new data.
 func (m *Memory) WriteGroupDataOnly(a Addr, data uint64) {
-	idx := m.groupIndex(a)
-	m.groups[idx].data = data
-	m.noteMutate(idx)
+	m.mutable(m.groupIndex(a)).data = data
 }
 
 // FlipDataBit inverts one data bit of the group at a, leaving the check bits
@@ -210,9 +322,7 @@ func (m *Memory) FlipDataBit(a Addr, bit uint) {
 	if bit >= 64 {
 		panic("physmem: data bit out of range")
 	}
-	idx := m.groupIndex(a)
-	m.groups[idx].data ^= 1 << bit
-	m.noteMutate(idx)
+	m.mutable(m.groupIndex(a)).data ^= 1 << bit
 }
 
 // Image is an immutable checkpoint of a Memory's stored bits, taken with
@@ -220,10 +330,27 @@ func (m *Memory) FlipDataBit(a Addr, bit uint) {
 // machines the snapshot layer checkpoints, that is a handful of lines, not
 // the DRAM.
 type Image struct {
-	mem     *Memory
-	gen     uint64
-	touched []uint64
-	lines   map[uint64]*[GroupsPerLine]group
+	mem *Memory
+	gen uint64
+	// words holds the captured touched bitmap sparsely: its non-zero words,
+	// in ascending word order.
+	words []imageWord
+	lines map[uint64]*[GroupsPerLine]group
+}
+
+// imageWord is one non-zero word of a captured touched bitmap.
+type imageWord struct {
+	wi   uint64
+	bits uint64
+}
+
+// touchedWord returns word wi of the captured touched bitmap.
+func (img *Image) touchedWord(wi uint64) uint64 {
+	i := sort.Search(len(img.words), func(i int) bool { return img.words[i].wi >= wi })
+	if i < len(img.words) && img.words[i].wi == wi {
+		return img.words[i].bits
+	}
+	return 0
 }
 
 // CaptureImage checkpoints the memory's current contents. It also resets
@@ -232,50 +359,82 @@ type Image struct {
 // elsewhere panics.
 func (m *Memory) CaptureImage() *Image {
 	img := &Image{
-		mem:     m,
-		touched: append([]uint64(nil), m.touched...),
-		lines:   make(map[uint64]*[GroupsPerLine]group),
+		mem:   m,
+		lines: make(map[uint64]*[GroupsPerLine]group),
 	}
-	for wi, w := range m.touched {
-		for w != 0 {
-			b := uint64(bits.TrailingZeros64(w))
-			w &^= 1 << b
-			line := uint64(wi)<<6 + b
-			saved := new([GroupsPerLine]group)
-			copy(saved[:], m.groups[line*GroupsPerLine:(line+1)*GroupsPerLine])
-			img.lines[line] = saved
+	for si, s := range m.touchedSum {
+		for s != 0 {
+			b := uint64(bits.TrailingZeros64(s))
+			s &^= 1 << b
+			wi := uint64(si)<<6 + b
+			w := m.touched[wi]
+			if w != 0 {
+				img.words = append(img.words, imageWord{wi: wi, bits: w})
+			}
+			for w != 0 {
+				lb := uint64(bits.TrailingZeros64(w))
+				w &^= 1 << lb
+				line := wi<<6 + lb
+				saved := new([GroupsPerLine]group)
+				copy(saved[:], m.lineGroups(line))
+				img.lines[line] = saved
+			}
 		}
 	}
-	clear(m.dirty)
+	m.clearDirty()
 	m.snapGen++
 	img.gen = m.snapGen
 	return img
 }
 
+// clearDirty empties the dirty bitmap through its summary.
+func (m *Memory) clearDirty() {
+	for si, s := range m.dirtySum {
+		if s == 0 {
+			continue
+		}
+		for s != 0 {
+			b := uint64(bits.TrailingZeros64(s))
+			s &^= 1 << b
+			m.dirty[uint64(si)<<6+b] = 0
+		}
+		m.dirtySum[si] = 0
+	}
+}
+
 // restoreLine puts one line back to its image content (or zero, when the
 // image never held it) and fires the mutate hook, exactly as an explicit
-// write would, so a controller's known-clean bitmap cannot go stale.
+// write would, so a controller's known-clean bitmap cannot go stale. An
+// image line was touched when captured and chunks are never freed, so its
+// chunk exists.
 func (m *Memory) restoreLine(img *Image, line uint64) {
-	gi := line * GroupsPerLine
 	if saved, ok := img.lines[line]; ok {
-		copy(m.groups[gi:gi+GroupsPerLine], saved[:])
+		copy(m.lineGroups(line), saved[:])
 	} else {
-		for g := gi; g < gi+GroupsPerLine; g++ {
-			m.groups[g] = group{}
-		}
+		clear(m.lineGroups(line))
 	}
 	if m.onMutate != nil {
 		m.onMutate(Addr(line * LineBytes))
 	}
 }
 
+// restoreWord restores every line set in w, the lines of touched word wi.
+func (m *Memory) restoreWord(img *Image, wi, w uint64) {
+	for w != 0 {
+		b := uint64(bits.TrailingZeros64(w))
+		w &^= 1 << b
+		m.restoreLine(img, wi<<6+b)
+	}
+}
+
 // RestoreImage puts the memory back into the captured state. When the
 // image's dirty tracking is still valid (nothing but ordinary mutations
 // happened since CaptureImage or the previous RestoreImage of this image),
-// only the lines dirtied in between are re-copied; otherwise every line
-// either side ever touched is restored — slower, never wrong. Afterwards
-// the image is valid for the next O(dirty) restore. The mutate hook fires
-// once per restored line.
+// only the lines dirtied in between are re-copied, found through the dirty
+// summary; otherwise every line either side touched is restored after a
+// walk of the whole touched bitmap — slower, never wrong. Afterwards the
+// image is valid for the next fast restore. The mutate hook fires once per
+// restored line.
 func (m *Memory) RestoreImage(img *Image) {
 	if img.mem != m {
 		panic("physmem: RestoreImage with an image captured from a different memory")
@@ -284,29 +443,48 @@ func (m *Memory) RestoreImage(img *Image) {
 		// Fast path: touched == img.touched | dirty, so restoring the dirty
 		// lines and stripping their extra touched bits lands exactly on the
 		// captured bitmaps.
-		for wi, w := range m.dirty {
-			d := w
-			for d != 0 {
-				b := uint64(bits.TrailingZeros64(d))
-				d &^= 1 << b
-				m.restoreLine(img, uint64(wi)<<6+b)
+		for si, s := range m.dirtySum {
+			if s == 0 {
+				continue
 			}
-			m.touched[wi] &^= w &^ img.touched[wi]
-			m.dirty[wi] = 0
+			for s != 0 {
+				b := uint64(bits.TrailingZeros64(s))
+				s &^= 1 << b
+				wi := uint64(si)<<6 + b
+				w := m.dirty[wi]
+				m.restoreWord(img, wi, w)
+				m.touched[wi] &^= w &^ img.touchedWord(wi)
+				m.dirty[wi] = 0
+				if m.touched[wi] == 0 {
+					m.touchedSum[si] &^= 1 << b
+				}
+			}
+			m.dirtySum[si] = 0
 		}
 		return
 	}
 	// Full path: the bitmaps' provenance is unknown (ZeroTouched ran, or a
-	// different image was restored), so walk the union of both touched sets.
-	for wi := range m.touched {
-		w := m.touched[wi] | img.touched[wi]
-		for w != 0 {
-			b := uint64(bits.TrailingZeros64(w))
-			w &^= 1 << b
-			m.restoreLine(img, uint64(wi)<<6+b)
+	// different image was restored), so walk every word of the current
+	// touched bitmap, then the image's words, restoring the union of both
+	// touched sets and rebuilding the summaries from scratch.
+	clear(m.touchedSum)
+	clear(m.dirtySum)
+	for wi, w := range m.touched {
+		if w == 0 {
+			continue
 		}
-		m.touched[wi] = img.touched[wi]
+		iw := img.touchedWord(uint64(wi))
+		m.restoreWord(img, uint64(wi), w|iw)
+		m.touched[wi] = iw
 		m.dirty[wi] = 0
+	}
+	for _, iw := range img.words {
+		if m.touched[iw.wi] == 0 {
+			// Not seen above: the current memory never touched this word.
+			m.restoreWord(img, iw.wi, iw.bits)
+			m.touched[iw.wi] = iw.bits
+		}
+		m.touchedSum[iw.wi>>6] |= 1 << (iw.wi & 63)
 	}
 	m.snapGen++
 	img.gen = m.snapGen
@@ -317,7 +495,5 @@ func (m *Memory) FlipCheckBit(a Addr, bit uint) {
 	if bit >= 8 {
 		panic("physmem: check bit out of range")
 	}
-	idx := m.groupIndex(a)
-	m.groups[idx].check ^= 1 << bit
-	m.noteMutate(idx)
+	m.mutable(m.groupIndex(a)).check ^= 1 << bit
 }

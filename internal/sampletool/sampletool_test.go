@@ -368,3 +368,54 @@ func TestRecycleNoSampleInheritance(t *testing.T) {
 		t.Fatalf("recycled machine inherits sampling state:\nrecycled: %+v\nfresh:    %+v", got, want)
 	}
 }
+
+// sampleDecisions allocates n 64-byte blocks, keeping them live, and
+// returns which ones the sampler admitted.
+func sampleDecisions(t *testing.T, r *testRig, n int) []bool {
+	t.Helper()
+	out := make([]bool, n)
+	for i := range out {
+		out[i] = r.tool.Sampled(r.malloc(t, 64))
+	}
+	return out
+}
+
+// TestSnapshotRoundTrip pins the sampler's checkpoint half in-package:
+// capture refuses a live pool, a machine, heap and sampler restored and
+// reseeded sample exactly as a freshly attached tool with that seed, and
+// an image restores only into the tool that captured it.
+func TestSnapshotRoundTrip(t *testing.T) {
+	const rate, seed = 3, 42
+	fresh := newRig(t, DefaultOptions(rate, seed))
+	want := sampleDecisions(t, fresh, 24)
+
+	r := newRig(t, DefaultOptions(rate, 7))
+	aimg := r.alloc.CaptureImage()
+	simg, err := r.tool.CaptureImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	msnap := r.m.Snapshot()
+	sampleDecisions(t, r, 24)
+	if _, err := r.tool.CaptureImage(); err == nil {
+		t.Fatal("CaptureImage accepted a live pool")
+	}
+	r.m.Restore(msnap)
+	r.alloc.RestoreImage(aimg)
+	r.tool.RestoreImage(simg)
+	r.tool.Reseed(seed)
+	if got := sampleDecisions(t, r, 24); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored sampler decided %v, fresh one %v", got, want)
+	}
+	if got, want := r.tool.Stats(), fresh.tool.Stats(); got != want {
+		t.Fatalf("restored sampler stats %+v, fresh %+v", got, want)
+	}
+
+	other := newRig(t, DefaultOptions(rate, seed))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RestoreImage accepted an image from another tool")
+		}
+	}()
+	other.tool.RestoreImage(simg)
+}

@@ -232,8 +232,10 @@ func (r *Registry) AttachClock(clock *simtime.Clock) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.clock = clock
+	r.tracer.mu.Lock()
 	r.tracer.clock = clock
-	r.tracer.enabled = r.cfg.TraceEnabled
+	r.tracer.mu.Unlock()
+	r.tracer.recording.Store(r.cfg.TraceEnabled && clock != nil)
 	if iv := r.cfg.SampleInterval; iv > 0 {
 		clock.SetWake(clock.Now()+iv, func(now simtime.Cycles) simtime.Cycles {
 			r.sample(now)

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"safemem/internal/simtime"
 )
@@ -41,12 +42,17 @@ type TraceEvent struct {
 
 // Tracer records spans and instants against the simulated clock. All
 // methods are nil-safe and no-ops while disabled, so instrumentation sites
-// can call unconditionally. Safe for concurrent use (though the simulator
-// itself is single-threaded, exporters may read concurrently).
+// can call unconditionally; hot sites whose arguments would allocate check
+// Enabled first. Safe for concurrent use (though the simulator itself is
+// single-threaded, exporters may read concurrently).
 type Tracer struct {
+	// recording is set by Registry.AttachClock when tracing is configured
+	// and a clock is attached. Begin and Instant check it before taking
+	// the lock, so a tracer that records nothing costs one atomic load.
+	recording atomic.Bool
+
 	mu      sync.Mutex
 	clock   *simtime.Clock
-	enabled bool
 	max     int
 	events  []TraceEvent
 	open    int // currently-open span count (for balancing)
@@ -61,27 +67,17 @@ type Span struct {
 }
 
 // Enabled reports whether the tracer is recording.
-func (t *Tracer) Enabled() bool {
-	if t == nil {
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.enabled && t.clock != nil
-}
+func (t *Tracer) Enabled() bool { return t != nil && t.recording.Load() }
 
 // Begin opens a span for component/name at the current simulated time.
 // Close it with End. Spans must be closed in LIFO order (guaranteed by the
 // single-threaded simulation when End is deferred).
 func (t *Tracer) Begin(component, name string, args ...Arg) Span {
-	if t == nil {
+	if !t.Enabled() {
 		return Span{}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.enabled || t.clock == nil {
-		return Span{}
-	}
 	// Reserve room for this span's End plus one End per already-open span,
 	// so the trace always closes balanced even at the cap.
 	if len(t.events)+t.open+2 > t.max {
@@ -115,14 +111,11 @@ func (s Span) End(args ...Arg) {
 
 // Instant records a zero-duration event.
 func (t *Tracer) Instant(component, name string, args ...Arg) {
-	if t == nil {
+	if !t.Enabled() {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.enabled || t.clock == nil {
-		return
-	}
 	if len(t.events)+t.open+1 > t.max {
 		t.dropped++
 		return

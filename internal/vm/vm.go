@@ -183,8 +183,35 @@ type AddressSpace struct {
 	// pointers.
 	ptePool []*pte
 
+	// freeLow is the free-frame stack's low-water mark: frames[:freeLow]
+	// still hold the entries New put there, because pushes only ever write
+	// at or above the current length. Recycle rewrites just the suffix
+	// above it. snapLow is the same mark relative to the image stamped
+	// snapGen (the last one captured or restored), letting RestoreImage
+	// copy only the suffix popped since.
+	freeLow int
+	snapLow int
+	snapGen uint64
+
 	stats Stats
 }
+
+// popFrame takes the top of the free-frame stack, lowering the low-water
+// marks. Every allocation of a free frame goes through it.
+func (as *AddressSpace) popFrame() physmem.Addr {
+	n := len(as.frames) - 1
+	frame := as.frames[n]
+	as.frames = as.frames[:n]
+	as.freeLow = min(as.freeLow, n)
+	as.snapLow = min(as.snapLow, n)
+	return frame
+}
+
+// freshFrame is the frame New puts at position i of the free-frame stack
+// of an n-frame memory: high frames first, so physical and virtual
+// addresses differ, catching any accidental identity-mapping assumptions
+// in callers.
+func freshFrame(i, n int) physmem.Addr { return physmem.Addr(uint64(n-1-i) * PageBytes) }
 
 // newPTE returns a zeroed pte, reusing a pooled one when available.
 func (as *AddressSpace) newPTE() *pte {
@@ -260,12 +287,10 @@ type Stats struct {
 
 // New creates an address space backed by mem's frames.
 func New(mem *physmem.Memory, clock *simtime.Clock) *AddressSpace {
-	nframes := mem.Size() / PageBytes
-	frames := make([]physmem.Addr, 0, nframes)
-	// Hand out high frames first so physical and virtual addresses differ,
-	// catching any accidental identity-mapping assumptions in callers.
-	for i := int64(nframes) - 1; i >= 0; i-- {
-		frames = append(frames, physmem.Addr(uint64(i)*PageBytes))
+	nframes := int(mem.Size() / PageBytes)
+	frames := make([]physmem.Addr, nframes)
+	for i := range frames {
+		frames[i] = freshFrame(i, nframes)
 	}
 	return &AddressSpace{
 		clock:   clock,
@@ -276,23 +301,32 @@ func New(mem *physmem.Memory, clock *simtime.Clock) *AddressSpace {
 		tlb:     make([]tlbEntry, tlbEntries),
 		tlbGen:  1,
 		tlbOn:   TLBDefault,
+		freeLow: nframes,
 	}
 }
 
 // Recycle resets the address space to its freshly-created state without
-// reallocating the TLB or the free-frame list backing array. Part of the
-// pooled-machine reset path; physical memory is re-zeroed separately by
-// the machine (physmem.ZeroTouched).
+// reallocating the TLB, the page-table maps or the free-frame list. Only
+// the part of the free-frame stack popped since it was last fresh is
+// rewritten, so a recycled machine allocates byte-identical frame
+// sequences to a fresh one at a cost of O(frames the run allocated). Part
+// of the pooled-machine reset path; physical memory is re-zeroed
+// separately by the machine (physmem.ZeroTouched).
 func (as *AddressSpace) Recycle() {
-	nframes := as.mem.Size() / PageBytes
-	as.frames = as.frames[:0]
-	// Same high-first hand-out order as New, so a recycled machine
-	// allocates byte-identical frame sequences to a fresh one.
-	for i := int64(nframes) - 1; i >= 0; i-- {
-		as.frames = append(as.frames, physmem.Addr(uint64(i)*PageBytes))
+	nframes := int(as.mem.Size() / PageBytes)
+	as.frames = as.frames[:nframes]
+	for i := as.freeLow; i < nframes; i++ {
+		as.frames[i] = freshFrame(i, nframes)
 	}
-	as.pages = make(map[uint64]*pte)
-	as.retired = make(map[physmem.Addr]bool)
+	// The prefix below freeLow is untouched, so it still matches the last
+	// image wherever it did before.
+	as.snapLow = min(as.snapLow, as.freeLow)
+	as.freeLow = nframes
+	for _, p := range as.pages {
+		as.freePTE(p)
+	}
+	clear(as.pages)
+	clear(as.retired)
 	as.tick = 0
 	as.stats = Stats{}
 	as.tlbFlushAll()
@@ -357,8 +391,7 @@ func (as *AddressSpace) Map(va VAddr, n int, prot Prot) error {
 		return fmt.Errorf("vm: out of physical frames (%d free, %d needed)", len(as.frames), n)
 	}
 	for i := 0; i < n; i++ {
-		frame := as.frames[len(as.frames)-1]
-		as.frames = as.frames[:len(as.frames)-1]
+		frame := as.popFrame()
 		p := as.newPTE()
 		p.frame, p.prot, p.present = frame, prot, true
 		as.pages[vpn+uint64(i)] = p
@@ -644,8 +677,7 @@ func (as *AddressSpace) swapIn(vpn uint64, p *pte) error {
 			return fmt.Errorf("vm: no evictable frames for swap-in of page %#x", vpn*PageBytes)
 		}
 	}
-	frame := as.frames[len(as.frames)-1]
-	as.frames = as.frames[:len(as.frames)-1]
+	frame := as.popFrame()
 	// Drop any stale cached lines left by the frame's previous owner.
 	as.flushFrame(frame)
 	// Write data back through the normal (ECC-enabled) path: every group
@@ -671,8 +703,10 @@ func (as *AddressSpace) swapIn(vpn uint64, p *pte) error {
 // simulated semantics and a restore simply flushes them.
 type Image struct {
 	as      *AddressSpace
+	gen     uint64
 	pages   map[uint64]pte
 	frames  []physmem.Addr
+	freeLow int
 	retired []physmem.Addr
 	tick    uint64
 	stats   Stats
@@ -680,12 +714,16 @@ type Image struct {
 
 // CaptureImage checkpoints the address space.
 func (as *AddressSpace) CaptureImage() *Image {
+	as.snapGen++
+	as.snapLow = len(as.frames)
 	img := &Image{
-		as:     as,
-		pages:  make(map[uint64]pte, len(as.pages)),
-		frames: append([]physmem.Addr(nil), as.frames...),
-		tick:   as.tick,
-		stats:  as.stats,
+		as:      as,
+		gen:     as.snapGen,
+		pages:   make(map[uint64]pte, len(as.pages)),
+		frames:  append([]physmem.Addr(nil), as.frames...),
+		freeLow: as.freeLow,
+		tick:    as.tick,
+		stats:   as.stats,
 	}
 	for vpn, p := range as.pages {
 		cp := *p
@@ -702,7 +740,9 @@ func (as *AddressSpace) CaptureImage() *Image {
 // flushes the TLB. Page contents live in physmem and are restored
 // separately (physmem.RestoreImage); this restores the translations. For
 // the empty page tables the snapshot layer captures, the restore allocates
-// nothing and costs O(pages mapped since capture).
+// nothing and costs O(pages mapped + frames popped since capture). When
+// another image was captured or restored in between, the whole free-frame
+// list is copied instead.
 func (as *AddressSpace) RestoreImage(img *Image) {
 	if img.as != as {
 		panic("vm: RestoreImage with an image captured from a different address space")
@@ -717,8 +757,16 @@ func (as *AddressSpace) RestoreImage(img *Image) {
 		np.swapped = append([]uint64(nil), p.swapped...)
 		as.pages[vpn] = np
 	}
+	low := 0
+	if img.gen == as.snapGen {
+		low = as.snapLow
+	}
 	as.frames = as.frames[:len(img.frames)]
-	copy(as.frames, img.frames)
+	copy(as.frames[low:], img.frames[low:])
+	as.freeLow = img.freeLow
+	as.snapGen++
+	img.gen = as.snapGen
+	as.snapLow = len(img.frames)
 	clear(as.retired)
 	for _, f := range img.retired {
 		as.retired[f] = true
